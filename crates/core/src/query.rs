@@ -767,20 +767,9 @@ impl Query {
 }
 
 /// Runs `method` on an executor/spec pair with a caller-positioned RNG —
-/// the single code path behind [`Query::run`] and the deprecated
-/// rng-threading `Session` shortcuts (which keep the default block size).
-pub(crate) fn run_with_rng(
-    executor: &JointExecutor,
-    spec: &JointSpec,
-    method: &Method,
-    threads: usize,
-    rng: &mut Pcg32,
-) -> Result<PosteriorResult, SessionError> {
-    run_with_rng_block(executor, spec, method, threads, DEFAULT_BLOCK, rng)
-}
-
-/// [`run_with_rng`] with an explicit vectorised-execution block size for
-/// the particle-sweep stages (VI keeps its own [`ViConfig::block`]).
+/// the single code path behind [`Query::run`] — with an explicit
+/// vectorised-execution block size for the particle-sweep stages (VI keeps
+/// its own [`ViConfig::block`]).
 pub(crate) fn run_with_rng_block(
     executor: &JointExecutor,
     spec: &JointSpec,

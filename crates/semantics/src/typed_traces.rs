@@ -106,21 +106,21 @@ pub fn generate_trace(
             GuideType::Var(_) => return None,
             GuideType::SendVal(t, rest) => {
                 messages.push(Message::ValP(random_sample(&t, rng)?));
-                stack.push(*rest);
+                stack.push(GuideType::clone(&rest));
             }
             GuideType::RecvVal(t, rest) => {
                 messages.push(Message::ValC(random_sample(&t, rng)?));
-                stack.push(*rest);
+                stack.push(GuideType::clone(&rest));
             }
             GuideType::Offer(a, b) => {
                 let sel = rng.next_f64() < config.then_probability;
                 messages.push(Message::DirP(sel));
-                stack.push(if sel { *a } else { *b });
+                stack.push(GuideType::clone(if sel { &a } else { &b }));
             }
             GuideType::Accept(a, b) => {
                 let sel = rng.next_f64() < config.then_probability;
                 messages.push(Message::DirC(sel));
-                stack.push(if sel { *a } else { *b });
+                stack.push(GuideType::clone(if sel { &a } else { &b }));
             }
             GuideType::App(op, arg) => {
                 messages.push(Message::Fold);

@@ -13,7 +13,7 @@
 //! be computed for it under those restrictions.
 
 use ppl_syntax::ast::{BaseType, Cmd, Ident, Proc, Program};
-use ppl_types::{base_type_of_cmd, CheckCtx, ProcSignature, Sigma, TypeError, TypingCtx};
+use ppl_types::{base_type_of_cmd_in, CheckCtx, ProcSignature, Sigma, TypeError, TypingCtx};
 use std::fmt;
 
 /// One entry of a trace type: a sample site with the carrier type of the
@@ -42,11 +42,6 @@ impl TraceType {
     /// True if there are no sites.
     pub fn is_empty(&self) -> bool {
         self.sites.is_empty()
-    }
-
-    fn concat(mut self, other: TraceType) -> TraceType {
-        self.sites.extend(other.sites);
-        self
     }
 }
 
@@ -113,40 +108,48 @@ pub fn check_proc(program: &Program, entry: &Ident) -> TraceTypeResult {
         .proc(entry)
         .ok_or_else(|| Unsupported::IllTyped(format!("unknown procedure '{entry}'")))?;
     let mut stack = vec![*entry];
-    trace_type_of_proc(program, &sigma, proc, &mut stack)
+    let mut trace_type = TraceType::default();
+    trace_type_of_proc(program, &sigma, proc, &mut stack, &mut trace_type.sites)?;
+    Ok(trace_type)
 }
 
+/// Appends the sites of a run of `proc` to `sites`.
 fn trace_type_of_proc(
     program: &Program,
     sigma: &Sigma,
     proc: &Proc,
     call_stack: &mut Vec<Ident>,
-) -> TraceTypeResult {
+    sites: &mut Vec<SiteEntry>,
+) -> Result<(), Unsupported> {
     let ctx = CheckCtx {
         sigma,
         consumes: proc.consumes,
         provides: proc.provides,
     };
-    let gamma = TypingCtx::from_params(&proc.params);
-    trace_type_of_cmd(program, sigma, &ctx, &gamma, &proc.body, call_stack)
+    let mut gamma = TypingCtx::from_params(&proc.params);
+    trace_type_of_cmd(program, &ctx, &mut gamma, &proc.body, call_stack, sites)
 }
 
+/// Appends the sites of `cmd` to `sites` in program order.  Binders enter
+/// and leave `gamma` in place, as in guide-type checking, so the walk never
+/// copies the typing context or an already computed sequence of sites.
 fn trace_type_of_cmd(
     program: &Program,
-    sigma: &Sigma,
     ctx: &CheckCtx<'_>,
-    gamma: &TypingCtx,
+    gamma: &mut TypingCtx,
     cmd: &Cmd,
     call_stack: &mut Vec<Ident>,
-) -> TraceTypeResult {
+    sites: &mut Vec<SiteEntry>,
+) -> Result<(), Unsupported> {
     match cmd {
-        Cmd::Ret(_) => Ok(TraceType::default()),
+        Cmd::Ret(_) => Ok(()),
         Cmd::Bind { var, first, rest } => {
-            let first_ty = trace_type_of_cmd(program, sigma, ctx, gamma, first, call_stack)?;
-            let binder_ty = base_type_of_cmd(ctx, gamma, first).map_err(ill_typed)?;
-            let inner = gamma.extended(*var, binder_ty);
-            let rest_ty = trace_type_of_cmd(program, sigma, ctx, &inner, rest, call_stack)?;
-            Ok(first_ty.concat(rest_ty))
+            trace_type_of_cmd(program, ctx, gamma, first, call_stack, sites)?;
+            let binder_ty = base_type_of_cmd_in(ctx, gamma, first).map_err(ill_typed)?;
+            let shadowed = gamma.bind(*var, binder_ty);
+            let result = trace_type_of_cmd(program, ctx, gamma, rest, call_stack, sites);
+            gamma.unbind(*var, shadowed);
+            result
         }
         Cmd::Sample { chan, dist, .. } => {
             let carrier = match ppl_types::infer_expr(gamma, dist).map_err(ill_typed)? {
@@ -157,20 +160,22 @@ fn trace_type_of_cmd(
                     )))
                 }
             };
-            Ok(TraceType {
-                sites: vec![SiteEntry {
-                    channel: chan.to_string(),
-                    carrier,
-                }],
-            })
+            sites.push(SiteEntry {
+                channel: chan.to_string(),
+                carrier,
+            });
+            Ok(())
         }
         Cmd::Branch {
             then_cmd, else_cmd, ..
         } => {
-            let t = trace_type_of_cmd(program, sigma, ctx, gamma, then_cmd, call_stack)?;
-            let e = trace_type_of_cmd(program, sigma, ctx, gamma, else_cmd, call_stack)?;
+            let mut t = TraceType::default();
+            trace_type_of_cmd(program, ctx, gamma, then_cmd, call_stack, &mut t.sites)?;
+            let mut e = TraceType::default();
+            trace_type_of_cmd(program, ctx, gamma, else_cmd, call_stack, &mut e.sites)?;
             if t == e {
-                Ok(t)
+                sites.append(&mut t.sites);
+                Ok(())
             } else {
                 Err(Unsupported::BranchDependentSupport {
                     detail: format!("then-branch {t}, else-branch {e}"),
@@ -192,7 +197,7 @@ fn trace_type_of_cmd(
                 )));
             }
             call_stack.push(*callee);
-            let result = trace_type_of_proc(program, sigma, callee_proc, call_stack);
+            let result = trace_type_of_proc(program, ctx.sigma, callee_proc, call_stack, sites);
             call_stack.pop();
             result
         }

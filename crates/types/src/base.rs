@@ -33,6 +33,25 @@ impl TypingCtx {
         self.vars.insert(x, ty);
     }
 
+    /// Enters the scope of a binder in place, returning the binding of `x`
+    /// it shadows; hand that to [`TypingCtx::unbind`] to leave the scope.
+    pub fn bind(&mut self, x: Ident, ty: BaseType) -> Option<BaseType> {
+        self.vars.insert(x, ty)
+    }
+
+    /// Leaves the scope of a [`TypingCtx::bind`]: restores the binding of
+    /// `x` it shadowed, or removes `x` if it shadowed none.
+    pub fn unbind(&mut self, x: Ident, shadowed: Option<BaseType>) {
+        match shadowed {
+            Some(ty) => {
+                self.vars.insert(x, ty);
+            }
+            None => {
+                self.vars.remove(&x);
+            }
+        }
+    }
+
     /// Looks up a variable.
     pub fn lookup(&self, x: &Ident) -> Option<&BaseType> {
         self.vars.get(x)
@@ -535,5 +554,24 @@ mod tests {
             infer_with("Normal(t1, t2)", &bindings).unwrap(),
             BaseType::dist(BaseType::Real)
         );
+    }
+
+    #[test]
+    fn bind_and_unbind_restore_the_outer_scope() {
+        let x: Ident = "x".into();
+        let y: Ident = "y".into();
+        let mut ctx = TypingCtx::new();
+        ctx.insert(x, BaseType::Real);
+        // Shadowing returns the outer binding; unbinding restores it.
+        let shadowed = ctx.bind(x, BaseType::Bool);
+        assert_eq!(shadowed, Some(BaseType::Real));
+        assert_eq!(ctx.lookup(&x), Some(&BaseType::Bool));
+        ctx.unbind(x, shadowed);
+        assert_eq!(ctx.lookup(&x), Some(&BaseType::Real));
+        // A fresh binder leaves no trace once unbound.
+        let shadowed = ctx.bind(y, BaseType::Nat);
+        assert_eq!(shadowed, None);
+        ctx.unbind(y, shadowed);
+        assert_eq!(ctx.lookup(&y), None);
     }
 }

@@ -15,10 +15,24 @@
 //!
 //! A type definition `typedef(T. X. A)` declares a unary type operator; a
 //! collection of definitions [`TypeDefs`] accompanies every program.
+//!
+//! # Cost model
+//!
+//! A guide type's children are reference-counted ([`Arc`]), so a protocol
+//! shares its tail with every protocol built on top of it.  Prepending a
+//! message (`τ ∧ A`, `A ⊕ B`, `T[A]`, …) allocates one node per child and
+//! copies no part of `A` or `B`; cloning a type copies only its root node.
+//! The backward checker builds every protocol by prepending onto its
+//! continuation, so inference allocates linearly in program size.
+//! Equality compares shared children by pointer first, so two protocols
+//! that share a tail compare in time proportional to the prefixes in front
+//! of it.  The children are [`Arc`] rather than `Rc` because inferred
+//! environments are shared across server threads.
 
 use ppl_syntax::ast::BaseType;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A guide type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -28,43 +42,43 @@ pub enum GuideType {
     /// A type variable (continuation parameter of a type operator).
     Var(String),
     /// `T[A]` — instantiation of the type operator `T` at `A`.
-    App(String, Box<GuideType>),
+    App(String, Arc<GuideType>),
     /// `τ ∧ A` — the channel's *provider* sends a sample of type `τ` and the
     /// protocol continues as `A`.
-    SendVal(BaseType, Box<GuideType>),
+    SendVal(BaseType, Arc<GuideType>),
     /// `τ ⊃ A` — the channel's *consumer* sends a sample of type `τ` (dual of
     /// `∧`; included for completeness, cf. Remark 4.1).
-    RecvVal(BaseType, Box<GuideType>),
+    RecvVal(BaseType, Arc<GuideType>),
     /// `A ⊕ B` — the provider sends a branch selection.
-    Offer(Box<GuideType>, Box<GuideType>),
+    Offer(Arc<GuideType>, Arc<GuideType>),
     /// `A & B` — the consumer sends a branch selection.
-    Accept(Box<GuideType>, Box<GuideType>),
+    Accept(Arc<GuideType>, Arc<GuideType>),
 }
 
 impl GuideType {
     /// `τ ∧ A` constructor.
     pub fn send_val(ty: BaseType, rest: GuideType) -> Self {
-        GuideType::SendVal(ty, Box::new(rest))
+        GuideType::SendVal(ty, Arc::new(rest))
     }
 
     /// `τ ⊃ A` constructor.
     pub fn recv_val(ty: BaseType, rest: GuideType) -> Self {
-        GuideType::RecvVal(ty, Box::new(rest))
+        GuideType::RecvVal(ty, Arc::new(rest))
     }
 
     /// `A ⊕ B` constructor.
     pub fn offer(a: GuideType, b: GuideType) -> Self {
-        GuideType::Offer(Box::new(a), Box::new(b))
+        GuideType::Offer(Arc::new(a), Arc::new(b))
     }
 
     /// `A & B` constructor.
     pub fn accept(a: GuideType, b: GuideType) -> Self {
-        GuideType::Accept(Box::new(a), Box::new(b))
+        GuideType::Accept(Arc::new(a), Arc::new(b))
     }
 
     /// `T[A]` constructor.
     pub fn app(op: impl Into<String>, arg: GuideType) -> Self {
-        GuideType::App(op.into(), Box::new(arg))
+        GuideType::App(op.into(), Arc::new(arg))
     }
 
     /// Capture-avoiding substitution of a type variable by a guide type
@@ -81,21 +95,21 @@ impl GuideType {
                 }
             }
             GuideType::App(op, a) => {
-                GuideType::App(op.clone(), Box::new(a.subst(var, replacement)))
+                GuideType::App(op.clone(), Arc::new(a.subst(var, replacement)))
             }
             GuideType::SendVal(t, a) => {
-                GuideType::SendVal(t.clone(), Box::new(a.subst(var, replacement)))
+                GuideType::SendVal(t.clone(), Arc::new(a.subst(var, replacement)))
             }
             GuideType::RecvVal(t, a) => {
-                GuideType::RecvVal(t.clone(), Box::new(a.subst(var, replacement)))
+                GuideType::RecvVal(t.clone(), Arc::new(a.subst(var, replacement)))
             }
             GuideType::Offer(a, b) => GuideType::Offer(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
+                Arc::new(a.subst(var, replacement)),
+                Arc::new(b.subst(var, replacement)),
             ),
             GuideType::Accept(a, b) => GuideType::Accept(
-                Box::new(a.subst(var, replacement)),
-                Box::new(b.subst(var, replacement)),
+                Arc::new(a.subst(var, replacement)),
+                Arc::new(b.subst(var, replacement)),
             ),
         }
     }
@@ -391,11 +405,11 @@ mod tests {
         match unfolded {
             GuideType::SendVal(t, rest) => {
                 assert_eq!(t, ureal());
-                match *rest {
+                match &*rest {
                     GuideType::Accept(left, right) => {
-                        assert_eq!(*left, GuideType::send_val(real(), GuideType::End));
+                        assert_eq!(**left, GuideType::send_val(real(), GuideType::End));
                         assert_eq!(
-                            *right,
+                            **right,
                             GuideType::app("R", GuideType::app("R", GuideType::End))
                         );
                     }

@@ -55,7 +55,8 @@ pub mod obs;
 
 pub use base::{check_expr, infer_expr, is_subtype, join, TypingCtx};
 pub use check::{
-    base_type_of_cmd, check_cmd, ChannelTypes, CheckCtx, CmdTyping, ProcSignature, Sigma,
+    base_type_of_cmd, base_type_of_cmd_in, check_cmd, ChannelTypes, CheckCtx, CmdTyping,
+    ProcSignature, Sigma,
 };
 pub use error::{code as types_error_code, TypeError};
 pub use guide::{GuideType, TypeDef, TypeDefs};
