@@ -2,7 +2,7 @@
 //! traces for the serving stack.  Plain `std`, zero dependencies, like
 //! everything else in the workspace.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * [`span`] — a fixed vocabulary of request [`Phase`]s and an RAII
 //!   [`Span`] timer.  Spans feed the *ambient* trace of the current
@@ -10,8 +10,11 @@
 //!   no clock and allocates nothing, which is what lets the engine hot
 //!   loop carry span calls for free when tracing is off (proved by the
 //!   repository's `alloc_budget` test).
-//! * [`trace`] — the [`Recorder`]: per-(route, phase) lock-free latency
-//!   histograms, a bounded ring buffer of the last N completed request
+//! * [`hist`] — the lock-free log-linear latency [`Histogram`] behind
+//!   every percentile `/metrics` reports (≤ 12.5% relative error,
+//!   quantiles clamped to the observed `[min, max]`).
+//! * [`trace`] — the [`Recorder`]: a per-(route, phase) [`Histogram`]
+//!   matrix, a bounded ring buffer of the last N completed request
 //!   traces (behind `GET /v1/trace`), and engine-quality gauges (minimum
 //!   ESS seen, worst acceptance rate).
 //! * [`log`] — leveled structured logging: one JSON object per line on
@@ -27,9 +30,11 @@
 //! result — the serving layer's byte-identity guarantees hold with the
 //! recorder on or off.
 
+pub mod hist;
 pub mod log;
 pub mod span;
 pub mod trace;
 
+pub use hist::Histogram;
 pub use span::{Phase, Span, NUM_PHASES, PHASES};
-pub use trace::{CompletedTrace, PhaseStat, Recorder, RoutePhaseStats};
+pub use trace::{CompletedTrace, Recorder, RoutePhaseStats};

@@ -1,5 +1,5 @@
 //! The [`Recorder`]: ambient per-request traces, per-(route, phase)
-//! latency histograms, a bounded ring of completed traces, and
+//! latency [`Histogram`]s, a bounded ring of completed traces, and
 //! engine-quality gauges.
 //!
 //! The ambient trace is thread-local, which matches the serving stack's
@@ -19,12 +19,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::hist::Histogram;
 use crate::span::{Phase, NUM_PHASES};
-
-/// Number of power-of-two latency bins per (route, phase) histogram.
-/// Bin `i` covers `[2^i, 2^(i+1))` nanoseconds; bin 39 tops out above
-/// nine minutes, far beyond any serving deadline.
-const HIST_BINS: usize = 40;
 
 /// FNV-1a 64-bit hash over a sequence of byte slices, with a length
 /// marker between parts so `("ab", "c")` and `("a", "bc")` differ.
@@ -179,97 +175,13 @@ pub struct CompletedTrace {
     pub seq: u64,
 }
 
-/// Latency summary for one (route, phase) histogram.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseStat {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of recorded nanoseconds (for means).
-    pub sum_nanos: u64,
-    /// Maximum recorded nanoseconds (exact).
-    pub max_nanos: u64,
-    /// Estimated 50th percentile in nanoseconds (bin upper bound).
-    pub p50_nanos: u64,
-    /// Estimated 90th percentile in nanoseconds (bin upper bound).
-    pub p90_nanos: u64,
-    /// Estimated 99th percentile in nanoseconds (bin upper bound).
-    pub p99_nanos: u64,
-}
-
-/// Per-route phase summaries with at least one sample.
+/// Per-route phase histograms with at least one sample.
 #[derive(Debug, Clone)]
-pub struct RoutePhaseStats {
+pub struct RoutePhaseStats<'a> {
     /// The route these phases belong to.
     pub route: &'static str,
-    /// `(phase, stats)` for every phase with `count > 0`.
-    pub phases: Vec<(Phase, PhaseStat)>,
-}
-
-/// One (route, phase) histogram cell: log₂ bins + count/sum/max.
-struct HistCell {
-    bins: [AtomicU64; HIST_BINS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistCell {
-    fn new() -> HistCell {
-        HistCell {
-            bins: [const { AtomicU64::new(0) }; HIST_BINS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, nanos: u64) {
-        let bin = bin_index(nanos);
-        self.bins[bin].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
-        self.max.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    fn stat(&self) -> PhaseStat {
-        let count = self.count.load(Ordering::Relaxed);
-        let mut snapshot = [0u64; HIST_BINS];
-        for (slot, bin) in snapshot.iter_mut().zip(self.bins.iter()) {
-            *slot = bin.load(Ordering::Relaxed);
-        }
-        let total: u64 = snapshot.iter().sum();
-        PhaseStat {
-            count,
-            sum_nanos: self.sum.load(Ordering::Relaxed),
-            max_nanos: self.max.load(Ordering::Relaxed),
-            p50_nanos: quantile(&snapshot, total, 0.50),
-            p90_nanos: quantile(&snapshot, total, 0.90),
-            p99_nanos: quantile(&snapshot, total, 0.99),
-        }
-    }
-}
-
-/// Bin index for `nanos`: bin `i` covers `[2^i, 2^(i+1))`.
-fn bin_index(nanos: u64) -> usize {
-    let n = nanos.max(1);
-    ((63 - n.leading_zeros()) as usize).min(HIST_BINS - 1)
-}
-
-/// Conservative quantile: upper bound of the bin containing the target
-/// rank, in nanoseconds.  Zero when the histogram is empty.
-fn quantile(bins: &[u64; HIST_BINS], total: u64, q: f64) -> u64 {
-    if total == 0 {
-        return 0;
-    }
-    let target = ((total as f64) * q).ceil().max(1.0) as u64;
-    let mut cumulative = 0u64;
-    for (i, &weight) in bins.iter().enumerate() {
-        cumulative += weight;
-        if cumulative >= target {
-            return 1u64 << (i + 1).min(63);
-        }
-    }
-    1u64 << 63
+    /// `(phase, histogram)` for every phase with `count > 0`.
+    pub phases: Vec<(Phase, &'a Histogram)>,
 }
 
 /// Gauge that tracks the minimum `f64` observed, atomically.
@@ -326,7 +238,7 @@ pub struct Recorder {
     routes: &'static [&'static str],
     enabled: AtomicBool,
     seq: AtomicU64,
-    hists: Vec<HistCell>,
+    hists: Vec<Histogram>,
     ring: Mutex<VecDeque<CompletedTrace>>,
     ring_capacity: usize,
     min_ess: MinGauge,
@@ -352,7 +264,7 @@ impl Recorder {
             routes,
             enabled: AtomicBool::new(true),
             seq: AtomicU64::new(0),
-            hists: (0..cells).map(|_| HistCell::new()).collect(),
+            hists: (0..cells).map(|_| Histogram::new()).collect(),
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
             ring_capacity: capacity,
             min_ess: MinGauge::new(),
@@ -404,13 +316,14 @@ impl Recorder {
     /// Finish the current thread's active trace: fold its phase timings
     /// into the (route, phase) histograms, push it onto the ring
     /// (evicting the oldest when full), and remember its identity for
-    /// the transport's `http.write` attribution.  Returns the trace id.
-    pub fn finish(&self, route: &'static str, status: u16) -> Option<String> {
+    /// the transport's `http.write` attribution.  `route_index` indexes
+    /// the route table the recorder was built over.  Returns the trace id.
+    pub fn finish(&self, route_index: usize, status: u16) -> Option<String> {
         let trace = ACTIVE.with(|slot| slot.borrow_mut().take());
         TRACE_ACTIVE.with(|flag| flag.set(false));
         let trace = trace?;
         let total_nanos = trace.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let route_index = self.route_index(route);
+        let route_index = route_index.min(self.routes.len() - 1);
         for (phase_index, &nanos) in trace.phase_nanos.iter().enumerate() {
             if nanos > 0 {
                 self.cell(route_index, phase_index).record(nanos);
@@ -506,18 +419,16 @@ impl Recorder {
         ring.iter().rev().find(|t| t.id == id).cloned()
     }
 
-    /// Per-route, per-phase latency summaries for every cell with at
-    /// least one sample.
-    pub fn phase_stats(&self) -> Vec<RoutePhaseStats> {
+    /// Per-route, per-phase latency histograms for every cell with at
+    /// least one sample (empty cells are skipped on their count alone).
+    pub fn phase_stats(&self) -> Vec<RoutePhaseStats<'_>> {
         let mut out = Vec::new();
         for (route_index, route) in self.routes.iter().enumerate() {
-            let mut phases = Vec::new();
-            for phase in crate::span::PHASES {
-                let stat = self.cell(route_index, phase.index()).stat();
-                if stat.count > 0 {
-                    phases.push((phase, stat));
-                }
-            }
+            let phases: Vec<_> = crate::span::PHASES
+                .into_iter()
+                .map(|phase| (phase, self.cell(route_index, phase.index())))
+                .filter(|(_, hist)| hist.count() > 0)
+                .collect();
             if !phases.is_empty() {
                 out.push(RoutePhaseStats { route, phases });
             }
@@ -525,14 +436,7 @@ impl Recorder {
         out
     }
 
-    fn route_index(&self, route: &str) -> usize {
-        self.routes
-            .iter()
-            .position(|r| *r == route)
-            .unwrap_or(self.routes.len() - 1)
-    }
-
-    fn cell(&self, route_index: usize, phase_index: usize) -> &HistCell {
+    fn cell(&self, route_index: usize, phase_index: usize) -> &Histogram {
         &self.hists[route_index * NUM_PHASES + phase_index]
     }
 }
@@ -565,7 +469,7 @@ mod tests {
         }
         annotate("cache", "miss".to_string());
         annotate_engine(vec![("ess".to_string(), 42.0)]);
-        let finished = rec.finish("/a", 200).expect("trace was active");
+        let finished = rec.finish(0, 200).expect("trace was active");
         assert_eq!(finished, id);
         assert!(!tracing_active());
 
@@ -583,11 +487,12 @@ mod tests {
             .iter()
             .find(|(p, _)| *p == Phase::InferDraw)
             .expect("infer.draw recorded");
-        assert_eq!(draw.count, 1);
-        assert!(draw.max_nanos >= 1_000_000);
-        assert!(
-            draw.p50_nanos >= draw.max_nanos,
-            "bin upper bound >= sample"
+        assert_eq!(draw.count(), 1);
+        assert!(draw.max() >= 1_000_000);
+        assert_eq!(
+            draw.quantiles([0.5]),
+            [draw.max()],
+            "one sample: p50 == max"
         );
     }
 
@@ -597,7 +502,7 @@ mod tests {
         let mut ids = Vec::new();
         for i in 0..5u64 {
             let id = rec.begin(i).unwrap();
-            rec.finish("/b", 200).unwrap();
+            rec.finish(1, 200).unwrap();
             ids.push(id);
         }
         assert_eq!(rec.recorded(), 3);
@@ -621,7 +526,7 @@ mod tests {
         assert!(!tracing_active());
         let span = Span::enter(Phase::Validate);
         assert!(!span.is_armed());
-        assert!(rec.finish("/a", 200).is_none());
+        assert!(rec.finish(0, 200).is_none());
         assert_eq!(rec.recorded(), 0);
     }
 
@@ -633,7 +538,7 @@ mod tests {
             let rec = std::sync::Arc::clone(&rec);
             handles.push(std::thread::spawn(move || {
                 let id = rec.begin(0x1234).unwrap();
-                rec.finish("/a", 200).unwrap();
+                rec.finish(0, 200).unwrap();
                 id
             }));
         }
@@ -660,7 +565,7 @@ mod tests {
     fn http_write_backfills_ring_and_histogram() {
         let rec = Recorder::new(&ROUTES, 4);
         let id = rec.begin(1).unwrap();
-        rec.finish("/a", 200).unwrap();
+        rec.finish(0, 200).unwrap();
         let (last_id, route_index) = take_last_finished().expect("finish sets last-finished");
         assert_eq!(last_id, id);
         assert_eq!(route_index, 0);
@@ -680,12 +585,21 @@ mod tests {
     }
 
     #[test]
-    fn bin_index_is_monotone_log2() {
-        assert_eq!(bin_index(0), 0);
-        assert_eq!(bin_index(1), 0);
-        assert_eq!(bin_index(2), 1);
-        assert_eq!(bin_index(3), 1);
-        assert_eq!(bin_index(1024), 10);
-        assert_eq!(bin_index(u64::MAX), HIST_BINS - 1);
+    fn phase_p99_stays_within_the_observed_range() {
+        // A cell fed 70/90/107 µs once reported p50 = p99 = 131 µs.
+        let rec = Recorder::new(&ROUTES, 4);
+        for micros in [70, 90, 107] {
+            rec.begin(micros).unwrap();
+            record_phase_nanos(Phase::Validate, micros * 1_000);
+            rec.finish(0, 200).unwrap();
+        }
+        let stats = rec.phase_stats();
+        let (_, cell) = stats[0].phases[0];
+        let [p50, p99] = cell.quantiles([0.50, 0.99]);
+        assert_eq!(
+            (stats[0].route, cell.count(), cell.max()),
+            ("/a", 3, 107_000)
+        );
+        assert!(70_000 <= p50 && p50 <= p99 && p99 <= 107_000, "{p50} {p99}");
     }
 }

@@ -253,14 +253,11 @@ impl App {
                         ApiError::new(500, "server.panic", "internal handler panic").to_response()
                     }
                 };
-            let route_name = crate::metrics::normalize_route(&req.path);
-            app.metrics.record(
-                &req.path,
-                response.status,
-                start.elapsed().as_secs_f64() * 1e3,
-            );
+            let route = crate::metrics::route_index(&req.path);
+            app.metrics
+                .record(route, &req.path, response.status, start.elapsed());
             if trace_id.is_some() {
-                if let Some(id) = app.obs.finish(route_name, response.status) {
+                if let Some(id) = app.obs.finish(route, response.status) {
                     response = response.with_header("X-Ppl-Trace-Id", &id);
                 }
             }
@@ -672,25 +669,10 @@ fn metrics(app: &App) -> Response {
                         route_stats
                             .phases
                             .into_iter()
-                            .map(|(phase, stat)| {
-                                let to_ms = |nanos: u64| Json::num_or_null(nanos as f64 / 1e6);
+                            .map(|(phase, hist)| {
                                 (
                                     phase.as_str().to_string(),
-                                    Json::Obj(vec![
-                                        ("count".into(), Json::Num(stat.count as f64)),
-                                        (
-                                            "mean".into(),
-                                            Json::num_or_null(
-                                                stat.sum_nanos as f64
-                                                    / 1e6
-                                                    / (stat.count as f64).max(1.0),
-                                            ),
-                                        ),
-                                        ("p50".into(), to_ms(stat.p50_nanos)),
-                                        ("p90".into(), to_ms(stat.p90_nanos)),
-                                        ("p99".into(), to_ms(stat.p99_nanos)),
-                                        ("max".into(), to_ms(stat.max_nanos)),
-                                    ]),
+                                    Json::Obj(crate::metrics::summary_ms(hist)),
                                 )
                             })
                             .collect(),

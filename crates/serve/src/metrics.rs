@@ -1,23 +1,16 @@
 //! Request metrics for the `/metrics` endpoint.
 //!
-//! Counters are relaxed atomics (they are diagnostics, not
-//! synchronisation); request latency feeds a fixed-range
-//! [`Histogram`] from `ppl_dist::stats` — the same estimator the posterior
-//! summaries use — plus exact running sum/max, all behind one short-lived
-//! mutex.
+//! Everything is relaxed atomics (diagnostics, not synchronisation):
+//! status counters, and one lock-free [`Histogram`] of wall-clock latency
+//! per route.  A route's request count is its histogram's count, and the
+//! global `latency_ms` summary is the bucket-wise sum of the route
+//! histograms at render time, so each request records exactly once.
 
 use crate::json::Json;
-use ppl_dist::stats::Histogram;
+use ppl_obs::Histogram;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// Upper bound of the latency histogram range, in milliseconds; slower
-/// requests land in [`Metrics::latency_overflow`] instead of a bin.
-pub const LATENCY_RANGE_MS: f64 = 2_000.0;
-
-/// Number of latency histogram bins.
-pub const LATENCY_BINS: usize = 40;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The routes the server distinguishes in its per-route counters.
 /// `/v1/models/{id}` and `/v1/artifacts/{id}` lifecycle requests are
@@ -37,10 +30,13 @@ pub const ROUTES: [&str; 12] = [
     "other",
 ];
 
-/// Normalises a request path to the [`ROUTES`] entry it is counted
-/// under: lifecycle requests collapse to their `{id}` buckets, and any
-/// unmatched path maps to `"other"`.
-pub fn normalize_route(path: &str) -> &'static str {
+/// Index of the catch-all `"other"` entry of [`ROUTES`].
+const OTHER: usize = ROUTES.len() - 1;
+
+/// Resolves a request path to the index of the [`ROUTES`] entry it is
+/// counted under: lifecycle requests collapse to their `{id}` buckets,
+/// and any unmatched path maps to `"other"`.
+pub fn route_index(path: &str) -> usize {
     let path = if path.starts_with("/v1/models/") {
         "/v1/models/{id}"
     } else if path.starts_with("/v1/artifacts/") {
@@ -50,79 +46,30 @@ pub fn normalize_route(path: &str) -> &'static str {
     } else {
         path
     };
-    ROUTES
+    ROUTES[..OTHER]
         .iter()
-        .find(|route| **route == path)
-        .copied()
-        .unwrap_or("other")
+        .position(|route| *route == path)
+        .unwrap_or(OTHER)
 }
 
-struct Latency {
-    histogram: Histogram,
-    overflow: u64,
-    count: u64,
-    sum_ms: f64,
-    max_ms: f64,
-}
-
-impl Latency {
-    fn new() -> Latency {
-        Latency {
-            histogram: Histogram::new(0.0, LATENCY_RANGE_MS, LATENCY_BINS),
-            overflow: 0,
-            count: 0,
-            sum_ms: 0.0,
-            max_ms: 0.0,
-        }
-    }
-
-    fn add(&mut self, latency_ms: f64) {
-        if latency_ms >= LATENCY_RANGE_MS {
-            self.overflow += 1;
-        } else {
-            self.histogram.add(latency_ms, 1.0);
-        }
-        self.count += 1;
-        self.sum_ms += latency_ms;
-        self.max_ms = self.max_ms.max(latency_ms);
-    }
-
-    /// Estimated `q`-quantile in milliseconds, read from the histogram
-    /// bins (bin-centre resolution); ranks landing in the overflow
-    /// region report the exact running maximum.
-    fn percentile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = ((self.count as f64) * q).ceil().max(1.0);
-        let mut cumulative = 0.0;
-        for (center, weight) in self
-            .histogram
-            .centers()
-            .into_iter()
-            .zip(self.histogram.bin_weights().iter().copied())
-        {
-            cumulative += weight;
-            if cumulative >= target {
-                return center;
-            }
-        }
-        self.max_ms
-    }
-
-    fn mean(&self) -> f64 {
-        if self.count > 0 {
-            self.sum_ms / self.count as f64
-        } else {
-            0.0
-        }
-    }
+/// The `count`/`mean`/`max`/`p50`/`p90`/`p99` summary, in milliseconds,
+/// that `/metrics` renders for every latency histogram.
+pub(crate) fn summary_ms(hist: &Histogram) -> Vec<(String, Json)> {
+    let ms = |nanos: f64| Json::num_or_null(nanos / 1e6);
+    let [p50, p90, p99] = hist.quantiles([0.50, 0.90, 0.99]);
+    vec![
+        ("count".into(), Json::Num(hist.count() as f64)),
+        ("mean".into(), ms(hist.mean())),
+        ("max".into(), ms(hist.max() as f64)),
+        ("p50".into(), ms(p50 as f64)),
+        ("p90".into(), ms(p90 as f64)),
+        ("p99".into(), ms(p99 as f64)),
+    ]
 }
 
 /// Aggregated serving metrics.
 pub struct Metrics {
     started: Instant,
-    requests_by_route: [AtomicU64; ROUTES.len()],
     responses_2xx: AtomicU64,
     responses_4xx: AtomicU64,
     responses_5xx: AtomicU64,
@@ -132,8 +79,8 @@ pub struct Metrics {
     /// Requests whose path matched no known route (they are counted
     /// under the `"other"` bucket, but no longer silently).
     unknown_paths: AtomicU64,
-    latency: Mutex<Latency>,
-    latency_by_route: Mutex<Vec<Latency>>,
+    /// Request latency, one histogram per [`ROUTES`] entry.
+    latency_by_route: Vec<Histogram>,
     /// Handler panics caught and converted to `500 server.panic`.
     panics: AtomicU64,
     /// Requests shed by a per-endpoint concurrency cap (`429`).
@@ -164,14 +111,12 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
-            requests_by_route: std::array::from_fn(|_| AtomicU64::new(0)),
             responses_2xx: AtomicU64::new(0),
             responses_4xx: AtomicU64::new(0),
             responses_5xx: AtomicU64::new(0),
             responses_timeout: AtomicU64::new(0),
             unknown_paths: AtomicU64::new(0),
-            latency: Mutex::new(Latency::new()),
-            latency_by_route: Mutex::new((0..ROUTES.len()).map(|_| Latency::new()).collect()),
+            latency_by_route: ROUTES.iter().map(|_| Histogram::new()).collect(),
             panics: AtomicU64::new(0),
             cap_sheds: AtomicU64::new(0),
             queue_sheds: Arc::new(AtomicU64::new(0)),
@@ -209,15 +154,10 @@ impl Metrics {
         Arc::clone(&self.queue_sheds)
     }
 
-    /// Records one handled request: its route (normalised to a [`ROUTES`]
-    /// entry), response status, and wall-clock latency.
-    pub fn record(&self, path: &str, status: u16, latency_ms: f64) {
-        let route = normalize_route(path);
-        let idx = ROUTES
-            .iter()
-            .position(|r| *r == route)
-            .unwrap_or(ROUTES.len() - 1);
-        if route == "other" && path != "other" {
+    /// Records one handled request: its route (the [`route_index`] of
+    /// `path`), response status, and wall-clock latency.
+    pub fn record(&self, route: usize, path: &str, status: u16, latency: Duration) {
+        if route == OTHER {
             // Unmatched paths still land in the "other" bucket, but no
             // longer silently: count them and leave a (rate-limited)
             // breadcrumb naming the path.
@@ -228,7 +168,6 @@ impl Metrics {
                 &[("path", ppl_obs::log::Value::s(path))],
             );
         }
-        self.requests_by_route[idx].fetch_add(1, Ordering::Relaxed);
         let status_counter = match status {
             200..=299 => &self.responses_2xx,
             408 => &self.responses_timeout,
@@ -236,11 +175,8 @@ impl Metrics {
             _ => &self.responses_4xx,
         };
         status_counter.fetch_add(1, Ordering::Relaxed);
-        self.latency
-            .lock()
-            .expect("metrics poisoned")
-            .add(latency_ms);
-        self.latency_by_route.lock().expect("metrics poisoned")[idx].add(latency_ms);
+        let nanos = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.latency_by_route[route.min(OTHER)].record(nanos);
     }
 
     /// Requests for paths that matched no known route so far.
@@ -255,61 +191,37 @@ impl Metrics {
 
     /// Total requests across every route.
     pub fn total_requests(&self) -> u64 {
-        self.requests_by_route
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Requests that fell outside the latency histogram range.
-    pub fn latency_overflow(&self) -> u64 {
-        self.latency.lock().expect("metrics poisoned").overflow
+        self.latency_by_route.iter().map(Histogram::count).sum()
     }
 
     /// Renders the metrics document served by `/metrics`.  `cache_hits`,
     /// `cache_misses`, and `cache_len` come from the response cache.
     pub fn render(&self, cache_hits: u64, cache_misses: u64, cache_len: usize) -> Json {
-        let latency = self.latency.lock().expect("metrics poisoned");
-        let mean_ms = latency.mean();
-        let histogram = Json::Obj(vec![
-            (
-                "range_ms".into(),
-                Json::Arr(vec![Json::Num(0.0), Json::Num(LATENCY_RANGE_MS)]),
-            ),
-            (
-                "centers_ms".into(),
-                Json::Arr(
-                    latency
-                        .histogram
-                        .centers()
-                        .into_iter()
-                        .map(Json::num_or_null)
-                        .collect(),
-                ),
-            ),
-            (
-                "counts".into(),
-                Json::Arr(
-                    latency
-                        .histogram
-                        .bin_weights()
-                        .iter()
-                        .map(|&w| Json::num_or_null(w))
-                        .collect(),
-                ),
-            ),
-            ("overflow".into(), Json::Num(latency.overflow as f64)),
-        ]);
+        let mut all = Histogram::new();
+        for hist in &self.latency_by_route {
+            all.absorb(hist);
+        }
+        let (upper_ms, counts) = all
+            .buckets()
+            .map(|(upper, n)| (Json::num_or_null(upper as f64 / 1e6), Json::Num(n as f64)))
+            .unzip();
+        let mut latency = summary_ms(&all);
+        latency.push((
+            "histogram".into(),
+            Json::Obj(vec![
+                ("upper_ms".into(), Json::Arr(upper_ms)),
+                ("counts".into(), Json::Arr(counts)),
+            ]),
+        ));
         let routes = ROUTES
             .iter()
-            .zip(&self.requests_by_route)
-            .map(|(route, counter)| {
-                (
-                    route.to_string(),
-                    Json::Num(counter.load(Ordering::Relaxed) as f64),
-                )
-            })
-            .collect();
+            .zip(&self.latency_by_route)
+            .map(|(route, hist)| (route.to_string(), Json::Num(hist.count() as f64)));
+        let by_route = ROUTES
+            .iter()
+            .zip(&self.latency_by_route)
+            .filter(|(_, hist)| hist.count() > 0)
+            .map(|(route, hist)| (route.to_string(), Json::Obj(summary_ms(hist))));
         let cache_total = cache_hits + cache_misses;
         let hit_rate = if cache_total > 0 {
             cache_hits as f64 / cache_total as f64
@@ -321,11 +233,8 @@ impl Metrics {
                 "uptime_seconds".into(),
                 Json::num_or_null(self.started.elapsed().as_secs_f64()),
             ),
-            (
-                "requests_total".into(),
-                Json::Num(self.total_requests() as f64),
-            ),
-            ("requests_by_route".into(), Json::Obj(routes)),
+            ("requests_total".into(), Json::Num(all.count() as f64)),
+            ("requests_by_route".into(), Json::Obj(routes.collect())),
             (
                 "responses".into(),
                 Json::Obj(vec![
@@ -351,18 +260,8 @@ impl Metrics {
                 "unknown_paths".into(),
                 Json::Num(self.unknown_paths.load(Ordering::Relaxed) as f64),
             ),
-            (
-                "latency_ms".into(),
-                Json::Obj(vec![
-                    ("mean".into(), Json::num_or_null(mean_ms)),
-                    ("max".into(), Json::num_or_null(latency.max_ms)),
-                    ("p50".into(), Json::num_or_null(latency.percentile(0.50))),
-                    ("p90".into(), Json::num_or_null(latency.percentile(0.90))),
-                    ("p99".into(), Json::num_or_null(latency.percentile(0.99))),
-                    ("histogram".into(), histogram),
-                ]),
-            ),
-            ("latency_by_route_ms".into(), self.render_route_latency()),
+            ("latency_ms".into(), Json::Obj(latency)),
+            ("latency_by_route_ms".into(), Json::Obj(by_route.collect())),
             (
                 "cache".into(),
                 Json::Obj(vec![
@@ -374,51 +273,36 @@ impl Metrics {
             ),
         ])
     }
-
-    /// Per-route latency summaries (count, mean, max, p50/p90/p99) for
-    /// every route that has handled at least one request.
-    fn render_route_latency(&self) -> Json {
-        let by_route = self.latency_by_route.lock().expect("metrics poisoned");
-        Json::Obj(
-            ROUTES
-                .iter()
-                .zip(by_route.iter())
-                .filter(|(_, latency)| latency.count > 0)
-                .map(|(route, latency)| {
-                    (
-                        route.to_string(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Num(latency.count as f64)),
-                            ("mean".into(), Json::num_or_null(latency.mean())),
-                            ("max".into(), Json::num_or_null(latency.max_ms)),
-                            ("p50".into(), Json::num_or_null(latency.percentile(0.50))),
-                            ("p90".into(), Json::num_or_null(latency.percentile(0.90))),
-                            ("p99".into(), Json::num_or_null(latency.percentile(0.99))),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn record(m: &Metrics, path: &str, status: u16, latency_ms: f64) {
+        let latency = Duration::from_secs_f64(latency_ms / 1e3);
+        m.record(route_index(path), path, status, latency);
+    }
+
+    fn num(doc: &Json, key: &str) -> f64 {
+        match doc.get(key) {
+            Some(Json::Num(v)) => *v,
+            other => panic!("{key} missing: {other:?}"),
+        }
+    }
+
     #[test]
     fn records_routes_statuses_and_latency() {
         let m = Metrics::new();
-        m.record("/healthz", 200, 0.5);
-        m.record("/v1/query", 200, 12.0);
-        m.record("/v1/query", 400, 1.0);
-        m.record("/nope", 404, 0.1);
-        m.record("/v1/models/m-0011223344556677", 200, 0.2);
-        m.record("/v1/artifacts/a-0011223344556677", 200, 0.2);
-        m.record("/v1/query", 500, LATENCY_RANGE_MS + 1.0);
-        m.record("/v1/query", 408, 250.0);
+        record(&m, "/healthz", 200, 0.5);
+        record(&m, "/v1/query", 200, 12.0);
+        record(&m, "/v1/query", 400, 1.0);
+        record(&m, "/nope", 404, 0.1);
+        record(&m, "/v1/models/m-0011223344556677", 200, 0.2);
+        record(&m, "/v1/artifacts/a-0011223344556677", 200, 0.2);
+        record(&m, "/v1/query", 500, 2_001.0);
+        record(&m, "/v1/query", 408, 250.0);
         assert_eq!(m.total_requests(), 8);
-        assert_eq!(m.latency_overflow(), 1);
         assert_eq!(m.timeouts(), 1);
         assert_eq!(m.unknown_paths(), 1);
         let json = m.render(3, 1, 2);
@@ -461,11 +345,12 @@ mod tests {
             Some(&Json::Num(0.75))
         );
         let latency = json.get("latency_ms").unwrap();
+        assert!(
+            (num(latency, "max") - 2_001.0).abs() < 1e-5,
+            "the slowest sample is the reported max, with no overflow region"
+        );
         for key in ["p50", "p90", "p99"] {
-            assert!(
-                matches!(latency.get(key), Some(Json::Num(v)) if *v >= 0.0),
-                "global latency reports {key}"
-            );
+            assert!(num(latency, key) > 0.0, "global latency reports {key}");
         }
         let by_route = json.get("latency_by_route_ms").unwrap();
         let query = by_route.get("/v1/query").expect("per-route latency");
@@ -485,16 +370,13 @@ mod tests {
         // (with exactly 1% it would sit right on the bulk boundary).
         let m = Metrics::new();
         for _ in 0..98 {
-            m.record("/v1/query", 200, 10.0);
+            record(&m, "/v1/query", 200, 10.0);
         }
-        m.record("/v1/query", 200, 1_500.0);
-        m.record("/v1/query", 200, 1_500.0);
+        record(&m, "/v1/query", 200, 1_500.0);
+        record(&m, "/v1/query", 200, 1_500.0);
         let json = m.render(0, 0, 0);
         let latency = json.get("latency_ms").unwrap();
-        let num = |key: &str| match latency.get(key) {
-            Some(Json::Num(v)) => *v,
-            other => panic!("{key} missing: {other:?}"),
-        };
+        let num = |key: &str| num(latency, key);
         assert!(num("p50") < 100.0, "median near the bulk");
         assert!(num("p99") > 1_000.0, "p99 sees the tail the mean hides");
         assert!(num("mean") < num("p99"));
@@ -502,11 +384,39 @@ mod tests {
 
     #[test]
     fn normalize_route_covers_ids_and_unknowns() {
+        let normalize_route = |path| ROUTES[route_index(path)];
         assert_eq!(normalize_route("/healthz"), "/healthz");
         assert_eq!(normalize_route("/v1/models/m-00"), "/v1/models/{id}");
         assert_eq!(normalize_route("/v1/artifacts/a-00"), "/v1/artifacts/{id}");
         assert_eq!(normalize_route("/v1/trace"), "/v1/trace");
         assert_eq!(normalize_route("/v1/trace/t-00"), "/v1/trace/{id}");
         assert_eq!(normalize_route("/nope"), "other");
+    }
+
+    #[test]
+    fn sub_millisecond_route_latencies_render_inside_the_observed_range() {
+        // 100 requests of 0.030–0.066 ms once rendered p50 = p90 = p99 =
+        // 25 ms, the first bin centre of a linear 0–2000 ms histogram.
+        let m = Metrics::new();
+        let samples: Vec<f64> = (0..100).map(|i| 0.030 + i as f64 * 0.00036).collect();
+        for &ms in &samples {
+            record(&m, "/v1/query", 200, ms);
+        }
+        let json = m.render(0, 0, 0);
+        let by_route = json.get("latency_by_route_ms").unwrap();
+        for summary in [
+            json.get("latency_ms").unwrap(),
+            by_route.get("/v1/query").unwrap(),
+        ] {
+            let (min, max) = (samples[0], samples[99]);
+            assert!((num(summary, "max") - max).abs() < 1e-5);
+            // Nearest rank of 100 samples: the 50th, 90th and 99th.
+            for (key, rank) in [("p50", 50), ("p90", 90), ("p99", 99)] {
+                let exact = samples[rank - 1];
+                let reported = num(summary, key);
+                assert!(min - 1e-5 <= reported && reported <= max + 1e-5, "{key}");
+                assert!((reported - exact).abs() <= 0.125 * exact, "{key}");
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 //!   deterministic byte-for-byte — the property the serving layer's exact
 //!   result cache is built on.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth the parser accepts.  Deeper documents error
 /// (`json.depth`) instead of risking stack exhaustion on adversarial
@@ -189,9 +189,9 @@ impl Json {
                     && x.abs() <= 9.007_199_254_740_992e15
                     && x.to_bits() != (-0.0f64).to_bits()
                 {
-                    out.push_str(&format!("{}", *x as i64));
+                    let _ = write!(out, "{}", *x as i64);
                 } else {
-                    out.push_str(&format!("{x:?}"));
+                    let _ = write!(out, "{x:?}");
                 }
             }
             Json::Str(s) => write_string(s, out),
